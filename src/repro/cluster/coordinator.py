@@ -113,6 +113,52 @@ class WorkItem:
         self.parent_span = ""
 
 
+class BatchTable:
+    """Open backend batches, each with its count of undelivered items.
+
+    Shared by :class:`ClusterPool` and the federation front.  The count
+    makes closing a batch O(1) per delivery, where rescanning its items
+    cost O(batch) per spec and O(batch²) per sweep.  Requeues and
+    releases leave an item undelivered, so only :meth:`deliver` moves
+    the count; an abandoned batch leaves the table at once.  Not
+    thread-safe: each pool calls it under its own serialization.
+    """
+
+    def __init__(self) -> None:
+        #: batch id -> [items, undelivered count]
+        self._open: Dict[str, list] = {}
+
+    def __len__(self) -> int:
+        return len(self._open)
+
+    def open(self, batch_id: str, items: List[WorkItem]) -> None:
+        if items:
+            self._open[batch_id] = [items, len(items)]
+
+    def deliver(self, item: WorkItem) -> None:
+        """Mark *item* delivered; close its batch on the last one."""
+        item.delivered = True
+        entry = self._open.get(item.batch_id)
+        if entry is not None:
+            entry[1] -= 1
+            if entry[1] == 0:
+                del self._open[item.batch_id]
+
+    def abandon(self, batch_id: str) -> None:
+        """Drop a batch's undelivered items (cancel / client abandon)."""
+        items, _undelivered = self._open.pop(batch_id, ((), 0))
+        for item in items:
+            item.abandoned = True
+
+    def abandon_all(self, reason: str) -> None:
+        """Abandon every open batch and wake each one with an abort."""
+        for items, _undelivered in self._open.values():
+            for item in items:
+                item.abandoned = True
+            items[0].sink.put(("abort", reason))
+        self._open.clear()
+
+
 class WorkerHandle:
     """Coordinator-side state for one registered worker connection."""
 
@@ -179,7 +225,7 @@ class ClusterPool:
         self.queue = WorkStealingQueue()
         self.workers: Dict[str, WorkerHandle] = {}
         self._by_writer: Dict[int, str] = {}
-        self._batches: Dict[str, List[WorkItem]] = {}
+        self._batches = BatchTable()
         self.closed = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._monitor_task: Optional[asyncio.Task] = None
@@ -204,12 +250,7 @@ class ClusterPool:
         self.closed = True
         if self._monitor_task is not None:
             self._monitor_task.cancel()
-        for items in self._batches.values():
-            for item in items:
-                item.abandoned = True
-            if items:
-                items[0].sink.put(("abort", "coordinator stopped"))
-        self._batches.clear()
+        self._batches.abandon_all("coordinator stopped")
         for worker in list(self.workers.values()):
             worker.connected = False
             try:
@@ -256,7 +297,7 @@ class ClusterPool:
                      batch_id=batch_id)
             for spec in specs
         ]
-        self._batches[batch_id] = items
+        self._batches.open(batch_id, items)
         for item in items:
             self.queue.push(item)
         await self.dispatch_all()
@@ -264,13 +305,7 @@ class ClusterPool:
 
     def abandon_batch(self, batch_id: str) -> None:
         """Drop a batch's undelivered items (cancel / client abandon)."""
-        for item in self._batches.pop(batch_id, ()):
-            item.abandoned = True
-
-    def _batch_done(self, item: WorkItem) -> None:
-        items = self._batches.get(item.batch_id)
-        if items is not None and all(i.delivered for i in items):
-            del self._batches[item.batch_id]
+        self._batches.abandon(batch_id)
 
     # -- workers -------------------------------------------------------------
 
@@ -352,7 +387,7 @@ class ClusterPool:
             spec, item.requeues, self.max_spec_retries,
             backend="cluster", suspect="workers",
         )
-        item.delivered = True
+        self._batches.deliver(item)
         self.total_quarantined += 1
         METRICS.counter("cluster.quarantined").inc()
         if BUS.enabled:
@@ -360,7 +395,6 @@ class ClusterPool:
                      spec_hash=spec.content_hash,
                      requeues=item.requeues)
         item.sink.put(("result", result))
-        self._batch_done(item)
 
     def release(self, worker: WorkerHandle,
                 lease_ids: List[str]) -> int:
@@ -409,7 +443,7 @@ class ClusterPool:
                 # speed (heartbeats re-pump idle workers instead)
                 self._requeue_or_quarantine(item, front=False)
                 raise
-            item.delivered = True
+            self._batches.deliver(item)
             worker.completed += 1
             self.total_completed += 1
             METRICS.counter("cluster.leases_completed").inc()
@@ -435,7 +469,6 @@ class ClusterPool:
                         worker=worker.id, status=result.status,
                     )
             item.sink.put(("result", result))
-            self._batch_done(item)
         await self._grant(worker)
 
     # -- scheduling ----------------------------------------------------------
@@ -578,7 +611,8 @@ class JournaledServer(ScenarioServer):
         await super().start()
         self._serving_started(asyncio.get_running_loop())
         if self._resume and self.journal is not None:
-            self._restore(JobJournal.replay(self.journal.path))
+            # the journal replayed its file once when it opened
+            self._restore(self.journal.recovered)
             self.journal.record_resume()
 
     def _serving_started(self, loop: asyncio.AbstractEventLoop) -> None:

@@ -55,6 +55,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.coordinator import (
     DEFAULT_MAX_SPEC_RETRIES,
+    BatchTable,
     JournaledServer,
     WorkItem,
     quarantine_result,
@@ -229,7 +230,7 @@ class FederationPool:
         self.closed = False
         self._cond = threading.Condition()
         self._queue: deque = deque()
-        self._batches: Dict[str, List[WorkItem]] = {}
+        self._batches = BatchTable()
         self._batch_counter = 0
         self._peer_counter = 0
         self._started = False
@@ -268,14 +269,7 @@ class FederationPool:
             if self.closed:
                 return
             self.closed = True
-            for items in self._batches.values():
-                for item in items:
-                    item.abandoned = True
-                if items:
-                    items[0].sink.put(
-                        ("abort", "federation front stopped")
-                    )
-            self._batches.clear()
+            self._batches.abandon_all("federation front stopped")
             self._cond.notify_all()
         self._stop.set()
 
@@ -385,20 +379,14 @@ class FederationPool:
                          batch_id=batch_id)
                 for spec in specs
             ]
-            self._batches[batch_id] = items
+            self._batches.open(batch_id, items)
             self._queue.extend(items)
             self._cond.notify_all()
         return batch_id
 
     def abandon_batch(self, batch_id: str) -> None:
         with self._cond:
-            for item in self._batches.pop(batch_id, ()):
-                item.abandoned = True
-
-    def _batch_done_locked(self, item: WorkItem) -> None:
-        items = self._batches.get(item.batch_id)
-        if items is not None and all(i.delivered for i in items):
-            del self._batches[item.batch_id]
+            self._batches.abandon(batch_id)
 
     # -- probing -------------------------------------------------------------
 
@@ -625,7 +613,7 @@ class FederationPool:
         with self._cond:
             if item.abandoned or item.delivered:
                 return
-            item.delivered = True
+            self._batches.deliver(item)
             # leave the inflight roster under the same lock: a client
             # that has every result must see inflight == 0 in status,
             # not wait on the forwarder reaching its chunk epilogue
@@ -633,7 +621,6 @@ class FederationPool:
                 peer.inflight.remove(item)
             peer.completed += 1
             self.total_completed += 1
-            self._batch_done_locked(item)
         peer.breaker.record_success()
         METRICS.counter("federation.completed").inc()
         if BUS.enabled:
@@ -667,9 +654,8 @@ class FederationPool:
             peer.rehomed += rehomed
             self.total_rehomed += rehomed
             for item in quarantined:
-                item.delivered = True
+                self._batches.deliver(item)
                 self.total_quarantined += 1
-                self._batch_done_locked(item)
             self._cond.notify_all()
         if rehomed:
             METRICS.counter("federation.rehomed").inc(rehomed)

@@ -36,7 +36,12 @@ Compaction keeps replay O(live jobs) instead of O(history): every
 atomic JSON **snapshot** beside the journal and the journal itself is
 swapped for a fresh tail holding only a ``{"e": "compacted",
 "gen": G}`` marker.  Replay loads the snapshot and folds just the
-tail.  The write order — snapshot to a temp file, fsync, atomic
+tail.  The writer is the file's only author, so it keeps that fold in
+memory as it appends — seeded by one replay when it opens an existing
+file — and a compaction writes the snapshot from it without reading
+either file back.  Each spec list and result is JSON-encoded once, for
+its journal record, and that text is spliced into every snapshot that
+retains it.  The write order — snapshot to a temp file, fsync, atomic
 rename, *then* the journal swap — means a crash can never leave a
 torn snapshot installed; and if the snapshot is nonetheless
 missing/corrupt (or its generation does not match the tail marker),
@@ -53,10 +58,25 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, TextIO
+from typing import Any, Dict, Iterable, List, Mapping, Optional, TextIO
 
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
+
+
+def _dumps(value: Any) -> str:
+    """The journal's one JSON encoding: compact, never failing."""
+    return json.dumps(value, separators=(",", ":"), default=str)
+
+
+def _highest_job_number(floor: int, job_ids: Iterable[str]) -> int:
+    """Highest ``job-N`` counter among *job_ids*, never below *floor*."""
+    highest = floor
+    for job_id in job_ids:
+        _prefix, _dash, tail = job_id.rpartition("-")
+        if tail.isdigit():
+            highest = max(highest, int(tail))
+    return highest
 
 
 @dataclass
@@ -111,14 +131,6 @@ class JournaledJob:
                 pending.append(spec)
         return pending
 
-    def to_snapshot(self) -> Dict[str, Any]:
-        return {
-            "id": self.id,
-            "state": self.state,
-            "specs": [s.to_dict() for s in self.specs],
-            "results": [r.to_dict() for r in self.results],
-        }
-
     @classmethod
     def from_snapshot(cls, data: Mapping[str, Any]) -> "JournaledJob":
         job = cls(
@@ -166,15 +178,73 @@ class JournalState:
 
     def max_job_number(self) -> int:
         """Highest ``job-N`` counter seen (0 when empty/unnumbered)."""
-        highest = self.job_number_floor
-        for job_id in self.jobs:
-            _prefix, _dash, tail = job_id.rpartition("-")
-            if tail.isdigit():
-                highest = max(highest, int(tail))
-        return highest
+        return _highest_job_number(self.job_number_floor, self.jobs)
 
     def leases_after_last_resume(self) -> List[tuple]:
         return self.leases[self.leases_at_last_resume:]
+
+
+class _FoldedJob:
+    """The writer's fold of one job, kept as the JSON text it wrote.
+
+    Mirrors :class:`JournaledJob` — the same multiplicity cap, the same
+    completion order — but holds the spec list and each result as the
+    text already encoded for their journal records, so a compaction
+    splices text instead of decoding and re-encoding it.  A finished
+    job's snapshot entry is built once and cached; any later record
+    for the job (a late ``complete``, a second ``job-done``) drops the
+    cache so the fold stays exactly what replay would produce.
+    """
+
+    __slots__ = ("id", "specs_text", "state", "_spec_counts",
+                 "_result_counts", "_results", "_entry")
+
+    def __init__(self, job_id: str, specs_text: str,
+                 spec_hashes: Iterable[str]):
+        self.id = job_id
+        self.specs_text = specs_text
+        self.state = "running"
+        self._spec_counts = Counter(spec_hashes)
+        self._result_counts: Counter = Counter()
+        self._results: List[str] = []
+        self._entry: Optional[str] = None
+
+    @classmethod
+    def from_replayed(cls, job: JournaledJob) -> "_FoldedJob":
+        folded = cls(job.id, _dumps([s.to_dict() for s in job.specs]),
+                     (s.content_hash for s in job.specs))
+        for result in job.results:
+            folded.add_result(result.spec_hash, _dumps(result.to_dict()))
+        folded.state = job.state
+        return folded
+
+    @property
+    def finished(self) -> bool:
+        return self.state != "running"
+
+    def add_result(self, spec_hash: str, text: str) -> None:
+        """Bank a completion (capped at the hash's submit multiplicity)."""
+        if self._result_counts[spec_hash] >= self._spec_counts[spec_hash]:
+            return
+        self._result_counts[spec_hash] += 1
+        self._results.append(text)
+        self._entry = None
+
+    def set_state(self, state: str) -> None:
+        self.state = state
+        self._entry = None
+
+    def snapshot_entry(self) -> str:
+        """This job's element of the snapshot's ``jobs`` list."""
+        if self._entry is not None:
+            return self._entry
+        entry = '{"id":%s,"state":%s,"specs":%s,"results":[%s]}' % (
+            _dumps(self.id), _dumps(self.state), self.specs_text,
+            ",".join(self._results),
+        )
+        if self.finished:
+            self._entry = entry
+        return entry
 
 
 class JobJournal:
@@ -186,6 +256,11 @@ class JobJournal:
     (mirroring the server's ``MAX_FINISHED_JOBS`` history cap), which
     is what keeps snapshot size — and hence resume replay work —
     proportional to *live* jobs.
+
+    Opening a journal replays an existing file once: the result is
+    :attr:`recovered` (what ``--resume`` restores) and the seed of the
+    in-memory fold every later record updates and every compaction
+    writes out.
     """
 
     SNAPSHOT_FORMAT = 1
@@ -204,36 +279,63 @@ class JobJournal:
         self._fh: Optional[TextIO] = None
         self._appended = 0
         #: a federation front appends from forwarder threads while the
-        #: event loop journals completions; reentrant because _write
+        #: event loop journals completions; reentrant because a record
         #: may auto-compact (which re-enters the lock).
         self._lock = threading.RLock()
         #: set by :meth:`compact`; surfaced in coordinator status.
         self.last_compaction: Optional[Dict[str, Any]] = None
+        #: the state replayed from the file when the journal opened.
+        self.recovered = self.replay(self.path)
+        # the fold: what replay of the files would give right now,
+        # minus the lease trail (a snapshot keeps none)
+        self._jobs: Dict[str, _FoldedJob] = {
+            job.id: _FoldedJob.from_replayed(job)
+            for job in self.recovered.jobs.values()
+        }
+        self._resumes = self.recovered.resumes
+        self._generation = self.recovered.generation
+        self._job_number_floor = self.recovered.job_number_floor
 
     @property
     def snapshot_path(self) -> Path:
         return self.path.with_name(self.path.name + ".snapshot")
 
+    def _append(self, line: str) -> None:
+        """Write one record line; the caller holds the lock."""
+        if self._fh is None:
+            self._fh = self.path.open("a")
+            if _ends_torn(self.path):
+                # seal a crash-torn final line so this record starts a
+                # line of its own, as the fold assumes
+                self._fh.write("\n")
+        self._fh.write(line + "\n")
+        self._fh.flush()
+        self._appended += 1
+
+    def _maybe_compact(self) -> None:
+        """Auto-compact once the fold holds the record just appended."""
+        if self.compact_every and self._appended >= self.compact_every:
+            self._compact_locked()
+
     def _write(self, event: Mapping[str, Any]) -> None:
+        """Append a record that changes no folded state."""
         with self._lock:
-            if self._fh is None:
-                self._fh = self.path.open("a")
-            self._fh.write(json.dumps(dict(event), separators=(",", ":"),
-                                      default=str) + "\n")
-            self._fh.flush()
-            self._appended += 1
-            if self.compact_every and self._appended >= self.compact_every:
-                self.compact()
+            self._append(_dumps(dict(event)))
+            self._maybe_compact()
 
     # -- events -------------------------------------------------------------
 
     def record_submit(self, job_id: str, specs: List[ScenarioSpec]) -> None:
-        self._write({
-            "e": "submit",
-            "job": job_id,
-            "specs": [s.to_dict() for s in specs],
-            "t": time.time(),
-        })
+        specs_text = _dumps([s.to_dict() for s in specs])
+        line = '{"e":"submit","job":%s,"specs":%s,"t":%s}' % (
+            _dumps(job_id), specs_text, _dumps(time.time()),
+        )
+        job = _FoldedJob(job_id, specs_text,
+                         [s.content_hash for s in specs])
+        with self._lock:
+            self._append(line)
+            self._jobs[job_id] = job
+            self._maybe_compact()
 
     def record_lease(self, job_id: str, spec_hash: str,
                      worker: str) -> None:
@@ -247,14 +349,31 @@ class JobJournal:
                      "pool": pool})
 
     def record_complete(self, job_id: str, result: ScenarioResult) -> None:
-        self._write({"e": "complete", "job": job_id,
-                     "result": result.to_dict()})
+        text = _dumps(result.to_dict())
+        line = '{"e":"complete","job":%s,"result":%s}' % (
+            _dumps(job_id), text,
+        )
+        with self._lock:
+            self._append(line)
+            job = self._jobs.get(job_id)
+            if job is not None:
+                job.add_result(result.spec_hash, text)
+            self._maybe_compact()
 
     def record_job_done(self, job_id: str, state: str) -> None:
-        self._write({"e": "job-done", "job": job_id, "state": state})
+        with self._lock:
+            self._append(_dumps({"e": "job-done", "job": job_id,
+                                 "state": state}))
+            job = self._jobs.get(job_id)
+            if job is not None:
+                job.set_state(state)
+            self._maybe_compact()
 
     def record_resume(self) -> None:
-        self._write({"e": "resume", "t": time.time()})
+        with self._lock:
+            self._append(_dumps({"e": "resume", "t": time.time()}))
+            self._resumes += 1
+            self._maybe_compact()
 
     def close(self) -> None:
         with self._lock:
@@ -265,7 +384,7 @@ class JobJournal:
     # -- compaction ---------------------------------------------------------
 
     def compact(self) -> Dict[str, Any]:
-        """Fold the journal into an atomic snapshot + a fresh tail.
+        """Write the fold as an atomic snapshot + a fresh tail.
 
         Ordering is the crash-safety argument: (1) the snapshot is
         written to a temp file, fsynced, and atomically renamed into
@@ -276,45 +395,43 @@ class JobJournal:
         (1) and (2) leaves a new snapshot whose generation the old
         journal's marker does *not* carry, so replay ignores it and
         folds the full journal — never wrong, merely uncompacted.
+        The fold forgets dropped jobs only once both files are in
+        place, so a failed compaction changes nothing.
         """
         with self._lock:
             return self._compact_locked()
 
     def _compact_locked(self) -> Dict[str, Any]:
         self.close()
-        state = self.replay(self.path)
-        generation = state.generation + 1
-        jobs = list(state.jobs.values())
-        finished = [j for j in jobs if j.finished]
-        drop = (
-            set()
-            if len(finished) <= self.keep_finished
-            else {j.id for j in finished[: len(finished)
-                                         - self.keep_finished]}
+        generation = self._generation + 1
+        finished = [j.id for j in self._jobs.values() if j.finished]
+        drop = set(finished[:max(0, len(finished) - self.keep_finished)])
+        kept = [j for j in self._jobs.values() if j.id not in drop]
+        floor = _highest_job_number(self._job_number_floor, self._jobs)
+        t = time.time()
+        self._replace(
+            self.snapshot_path,
+            '{"format":%d,"generation":%d,"t":%s,"resumes":%d,'
+            '"job_number_floor":%d,"jobs":[%s]}' % (
+                self.SNAPSHOT_FORMAT, generation, _dumps(t),
+                self._resumes, floor,
+                ",".join(j.snapshot_entry() for j in kept),
+            ),
         )
-        snapshot = {
-            "format": self.SNAPSHOT_FORMAT,
-            "generation": generation,
-            "t": time.time(),
-            "resumes": state.resumes,
-            "job_number_floor": state.max_job_number(),
-            "jobs": [
-                j.to_snapshot() for j in jobs if j.id not in drop
-            ],
-        }
-        self._replace(self.snapshot_path,
-                      json.dumps(snapshot, default=str))
-        marker = json.dumps(
-            {"e": "compacted", "gen": generation, "t": snapshot["t"]},
-            separators=(",", ":"),
+        self._replace(
+            self.path,
+            _dumps({"e": "compacted", "gen": generation, "t": t}) + "\n",
         )
-        self._replace(self.path, marker + "\n")
+        for job_id in drop:
+            del self._jobs[job_id]
+        self._generation = generation
+        self._job_number_floor = floor
         self._appended = 0
         self.last_compaction = {
-            "t": snapshot["t"],
+            "t": t,
             "generation": generation,
-            "live_jobs": len(state.unfinished()),
-            "snapshot_jobs": len(snapshot["jobs"]),
+            "live_jobs": sum(1 for j in kept if not j.finished),
+            "snapshot_jobs": len(kept),
             "dropped_finished_jobs": len(drop),
         }
         return self.last_compaction
@@ -454,3 +571,13 @@ class JobJournal:
         elif kind == "compacted":
             state.generation = max(state.generation, int(event["gen"]))
         # unknown event kinds are ignored: forward compatibility
+
+
+def _ends_torn(path: Path) -> bool:
+    """True when *path* is non-empty and its last byte is not a newline."""
+    try:
+        with path.open("rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        return False
