@@ -70,7 +70,7 @@ PAPER_SIDE = {
 HEADER = '''# EXPERIMENTS — paper vs measured
 
 Generated by ``scripts/generate_experiments_md.py`` from a live run of
-all 18 experiments (the same functions the ``benchmarks/`` harness
+all 18 experiments (the same registered scenarios ``repro run``
 executes).  Each section states the paper's claim, the measured
 headline numbers from this reproduction, and the full regenerated
 table.  Absolute figures depend on the calibrated constants documented

@@ -1,9 +1,9 @@
 """Experiment regeneration.
 
 One function per experiment (E1-E18 in DESIGN.md), each returning the
-rows/series the paper's claim corresponds to.  The benchmark harness in
-``benchmarks/`` calls these; ``repro.analysis.report`` renders them as
-text tables.
+rows/series the paper's claim corresponds to.  The scenario engine
+runs these as registered scenarios; ``repro.analysis.report`` renders
+them as text tables.
 """
 
 from repro.analysis.experiments import (

@@ -1,10 +1,9 @@
 """The nine ablation studies (A1-A9) as registered scenarios.
 
-Each ``aNN_*`` function was extracted from its former standalone
-``benchmarks/bench_aNN_*.py`` script; the bench files are now thin
-shims over this module.  Every ablation follows the same contract as
-the E-experiments: a dict with ``claim``, ``rows`` and a boolean-rich
-``verdict`` (the assertions the benches used to make inline).
+Every ablation follows the same contract as the E-experiments: a
+dict with ``claim``, ``rows`` and a boolean-rich ``verdict`` whose
+booleans are the ablation's assertions.  Tier-1 runs all nine and
+asserts their verdicts (``tests/engine/test_registry.py``).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Scenario engine: declarative, batchable, cacheable workloads.
 
 Every workload in the repository — the 18 paper experiments, the nine
-ablation benchmarks and the mapping design-space sweeps — is described
+ablation studies and the mapping design-space sweeps — is described
 by a frozen :class:`~repro.engine.spec.ScenarioSpec` and registered in
 one namespace (:mod:`repro.engine.registry`).  The engine then provides
 

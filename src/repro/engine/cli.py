@@ -9,8 +9,6 @@ Examples::
     repro run --names DSE --sweep seed=1,2,3,4 --shard 0/2
     repro run --tags experiments --out report.json
     repro report report.json --full
-    repro bench --tags perf --threshold 0.25
-    repro bench --profile --tags perf
     repro serve --port 7341 --workers 4
     repro submit --tags smoke --stream --out report.json
     repro submit --names DSE --sweep seed=1,2,3,4 --shards 4
@@ -23,7 +21,6 @@ Examples::
     repro cache --stats
     repro run --tags smoke --warehouse .repro_cache/warehouse.sqlite
     repro query --scenario E10 --since 2026-08-01 --agg mean:wall_time
-    repro query --ingest-trajectory BENCH_TRAJECTORY.json
     repro status --port 7452 --watch
 
 (``repro`` is the installed console script; ``PYTHONPATH=src python -m
@@ -200,30 +197,6 @@ def cmd_run(args) -> int:
         path = report.save(args.out)
         print(f"\nwrote {path}")
     return 1 if report.failed else 0
-
-
-def cmd_bench(args) -> int:
-    from repro.engine.perf import run_bench, run_profile
-
-    if args.profile:
-        return run_profile(
-            tags=_split_tags(args.tags),
-            names=args.names or None,
-            out=args.profile_out,
-            quiet=args.quiet,
-        )
-    return run_bench(
-        tags=_split_tags(args.tags),
-        names=args.names or None,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        out=args.out,
-        trajectory=None if args.no_trajectory else args.trajectory,
-        baseline="" if args.no_compare else args.baseline,
-        threshold=args.threshold,
-        cache_dir=args.cache,
-        quiet=args.quiet,
-    )
 
 
 def _auth_token(args) -> Optional[str]:
@@ -484,12 +457,12 @@ def cmd_status(args) -> int:
     ``--watch`` subscribes via the ``watch`` protocol frame: the server
     pushes a status snapshot at most every ``--interval`` seconds and
     only when something changed, so N watchers cost the listener N
-    bounded queues instead of N polling connections.  Against an older
-    server (the watch frame answered ``unknown-type``/``unsupported``)
-    — or under ``--poll`` — it falls back to the classic poll loop.
-    Either way a dropped listener is not fatal: reconnects are paced
-    with jittered exponential backoff (so a restarting coordinator
-    isn't stampeded) and a one-line stderr notice marks reattachment.
+    bounded queues instead of N polling connections.  A listener that
+    refuses the watch frame (``unknown-type``/``unsupported``) is a
+    usage error (exit 2).  A dropped listener is not fatal: reconnects
+    are paced with jittered exponential backoff (so a restarting
+    coordinator isn't stampeded) and a one-line stderr notice marks
+    reattachment.
     """
     import time
 
@@ -508,7 +481,6 @@ def cmd_status(args) -> int:
             return 2
         print(json.dumps(snapshot, indent=1, sort_keys=True), flush=True)
         return 0
-    use_poll = bool(getattr(args, "poll", False))
     backoff = Backoff(base_s=max(0.5, args.interval / 2), max_s=30.0)
     disconnected = False
 
@@ -527,28 +499,18 @@ def cmd_status(args) -> int:
                     args.host, args.port, retries=args.retry,
                     timeout=args.timeout, auth_token=_auth_token(args),
                 ) as client:
-                    if use_poll:
-                        snapshot = client.status_full(args.job)
+                    for snapshot in client.watch_status(
+                        args.interval, job=args.job
+                    ):
                         _reattached()
                         print(json.dumps(snapshot, indent=1,
                                          sort_keys=True), flush=True)
-                    else:
-                        for snapshot in client.watch_status(
-                            args.interval, job=args.job
-                        ):
-                            _reattached()
-                            print(json.dumps(snapshot, indent=1,
-                                             sort_keys=True), flush=True)
             except ServiceError as exc:
-                if (not use_poll
-                        and exc.code in ("unknown-type", "unsupported")):
-                    print(
-                        "watch: server predates the watch frame; "
-                        "falling back to polling",
-                        file=sys.stderr, flush=True,
-                    )
-                    use_poll = True
-                    continue
+                if exc.code in ("unknown-type", "unsupported"):
+                    print(f"watch: {args.host}:{args.port} refused the "
+                          f"watch frame ({exc})", file=sys.stderr,
+                          flush=True)
+                    return 2
                 if not disconnected:
                     print(
                         f"watch: lost {args.host}:{args.port} ({exc}); "
@@ -612,7 +574,7 @@ def cmd_query(args) -> int:
     from repro.telemetry.warehouse import ResultsWarehouse, WarehouseError
 
     db = _warehouse_path(args, require=True)
-    if not args.ingest_trajectory and not os.path.exists(db):
+    if not os.path.exists(db):
         print(
             f"error: no warehouse at {db} (record one with "
             "repro run/serve/coordinator --warehouse PATH)",
@@ -621,10 +583,6 @@ def cmd_query(args) -> int:
         return 2
     try:
         with ResultsWarehouse(db) as warehouse:
-            if args.ingest_trajectory:
-                added = warehouse.ingest_trajectory(args.ingest_trajectory)
-                print(f"ingested {added} bench rows into {db}")
-                return 0
             if args.retain_days is not None or args.retain_rows is not None:
                 summary = warehouse.retain(
                     days=args.retain_days, rows=args.retain_rows,
@@ -661,10 +619,6 @@ def cmd_query(args) -> int:
                                  sort_keys=True))
                 return 0
             filters = _query_filters(args)
-            if args.bench_trend:
-                rows = warehouse.bench_trend(args.scenario, args.limit)
-                _print_rows(rows, args.format)
-                return 0
             if args.agg:
                 rows = warehouse.aggregate(
                     args.agg, group_by=args.group_by, **filters
@@ -863,57 +817,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", help="write the aggregated report JSON here")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(fn=cmd_run)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run benchmarks, append the perf trajectory, gate regressions",
-    )
-    add_selection(p_bench)
-    p_bench.add_argument("--workers", type=int, default=4)
-    p_bench.add_argument(
-        "--timeout", type=float, default=300.0, help="per-job timeout (s)"
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_RESULTS.json",
-        help="bench results payload (default BENCH_RESULTS.json)",
-    )
-    p_bench.add_argument(
-        "--trajectory", default="BENCH_TRAJECTORY.json",
-        help="append-only perf trajectory log",
-    )
-    p_bench.add_argument(
-        "--no-trajectory", action="store_true",
-        help="skip the trajectory append",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None,
-        help="baseline payload to gate against (default: --out before "
-        "this run, i.e. the committed results)",
-    )
-    p_bench.add_argument(
-        "--no-compare", action="store_true", help="skip the regression gate"
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="allowed wall-time growth before the gate fails (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--cache", default=None,
-        help="optional result-cache dir (benchmarks default to uncached "
-        "so wall times are real)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="cProfile each scenario serially and write the top-20 "
-        "cumulative functions per scenario (skips the trajectory and "
-        "the regression gate: instrumented times are not comparable)",
-    )
-    p_bench.add_argument(
-        "--profile-out", default="BENCH_PROFILE.json",
-        help="profile payload path (default BENCH_PROFILE.json)",
-    )
-    p_bench.add_argument("--quiet", action="store_true")
-    p_bench.set_defaults(fn=cmd_bench)
 
     def add_listener_hardening(p):
         p.add_argument(
@@ -1247,12 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_status.add_argument(
         "--watch", action="store_true",
         help="stream status updates until ^C (server-push via the "
-        "watch frame; falls back to polling on older servers)",
-    )
-    p_status.add_argument(
-        "--poll", action="store_true",
-        help="with --watch: force the classic polling loop instead of "
-        "the server-push watch frame",
+        "watch frame)",
     )
     p_status.add_argument(
         "--interval", type=float, default=2.0,
@@ -1276,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser(
         "query",
         help="query the sqlite results warehouse (filters, aggregates, "
-        "bench trends)",
+        "retention, HTTP serving)",
     )
     p_query.add_argument(
         "--db", default=None, metavar="PATH",
@@ -1325,16 +1223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--stats", action="store_true",
         help="print warehouse-wide statistics as JSON",
-    )
-    p_query.add_argument(
-        "--bench-trend", action="store_true",
-        help="read the ingested bench history instead of results "
-        "(honors --scenario/--limit)",
-    )
-    p_query.add_argument(
-        "--ingest-trajectory", metavar="PATH", default=None,
-        help="load a BENCH_TRAJECTORY.json into the bench history "
-        "(idempotent) and exit",
     )
     p_query.add_argument(
         "--format", choices=("table", "json"), default="table"

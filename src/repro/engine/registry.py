@@ -112,7 +112,7 @@ def scenario(
     ``expected_false`` names verdict keys that are negative controls
     (a False there does not count against reproduction).  The function
     itself is returned unchanged and stays directly callable (tests
-    and benchmarks keep importing it as before).
+    keep importing it as before).
     """
 
     def wrap(fn: Callable[..., dict]) -> Callable[..., dict]:

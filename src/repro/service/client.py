@@ -295,7 +295,7 @@ class ServiceClient:
         and runs until the caller abandons it or the server goes away.
         A server predating the ``watch`` frame answers ``unknown-type``
         (older still: ``unsupported``), surfaced as a
-        :class:`ServiceError` — callers fall back to polling on it.
+        :class:`ServiceError` (``repro status --watch`` exits 2 on it).
         """
         self.send(protocol.make_watch(
             kinds=kinds, job=job, components=components, queue=queue,

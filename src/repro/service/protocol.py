@@ -144,21 +144,21 @@ class FrameDecoder:
             )
 
     def next_frame(self) -> Optional[Dict[str, Any]]:
-        newline = self._buffer.find(b"\n")
-        if newline < 0:
-            return None
-        line = bytes(self._buffer[:newline])
-        del self._buffer[: newline + 1]
-        if len(line) > self.max_frame_bytes:
-            raise ProtocolError(
-                "frame-too-large",
-                f"frame of {len(line)} bytes exceeds "
-                f"{self.max_frame_bytes}",
-                fatal=True,
-            )
-        if not line.strip():
-            return self.next_frame()  # tolerate blank keep-alive lines
-        return decode_frame(line)
+        while True:
+            newline = self._buffer.find(b"\n")
+            if newline < 0:
+                return None
+            line = bytes(self._buffer[:newline])
+            del self._buffer[: newline + 1]
+            if len(line) > self.max_frame_bytes:
+                raise ProtocolError(
+                    "frame-too-large",
+                    f"frame of {len(line)} bytes exceeds "
+                    f"{self.max_frame_bytes}",
+                    fatal=True,
+                )
+            if line.strip():  # skip blank keep-alive lines
+                return decode_frame(line)
 
     def pending_bytes(self) -> int:
         return len(self._buffer)

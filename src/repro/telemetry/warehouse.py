@@ -60,17 +60,6 @@ CREATE INDEX IF NOT EXISTS idx_results_scenario
     ON results (scenario, recorded_at);
 CREATE INDEX IF NOT EXISTS idx_results_spec_hash ON results (spec_hash);
 CREATE INDEX IF NOT EXISTS idx_results_job ON results (job_id);
-CREATE TABLE IF NOT EXISTS bench_history (
-    id            INTEGER PRIMARY KEY,
-    recorded_at   REAL NOT NULL,
-    code_version  TEXT NOT NULL,
-    scenario      TEXT NOT NULL,
-    wall_time_s   REAL NOT NULL,
-    workers       INTEGER,
-    tags          TEXT NOT NULL DEFAULT ''
-);
-CREATE INDEX IF NOT EXISTS idx_bench_scenario
-    ON bench_history (scenario, recorded_at);
 """
 
 _RESULT_COLUMNS = (
@@ -81,10 +70,6 @@ _RESULT_COLUMNS = (
 _INSERT_RESULT = (
     f"INSERT INTO results ({', '.join(_RESULT_COLUMNS)}) "
     f"VALUES ({', '.join('?' * len(_RESULT_COLUMNS))})"
-)
-_INSERT_BENCH = (
-    "INSERT INTO bench_history (recorded_at, code_version, scenario, "
-    "wall_time_s, workers, tags) VALUES (?, ?, ?, ?, ?, ?)"
 )
 
 #: columns ``query``/``aggregate`` accept as filter/agg/group targets —
@@ -345,54 +330,6 @@ class ResultsWarehouse:
             self._enqueue(("sql", (_INSERT_RESULT, rows)))
         return len(rows)
 
-    def ingest_trajectory(self, path: str | Path) -> int:
-        """Load a ``BENCH_TRAJECTORY.json`` history into ``bench_history``.
-
-        Idempotence is by (recorded_at, code_version, scenario): entries
-        already present are skipped, so re-ingesting after every bench
-        run only appends the new tail.
-        """
-        data = json.loads(Path(path).read_text())
-        entries = data.get("entries") if isinstance(data, dict) else None
-        if not isinstance(entries, list):
-            raise WarehouseError(
-                f"{path} is not a bench trajectory payload"
-            )
-        conn = self._read_conn()
-        try:
-            existing = {
-                (row["recorded_at"], row["code_version"], row["scenario"])
-                for row in conn.execute(
-                    "SELECT recorded_at, code_version, scenario "
-                    "FROM bench_history"
-                )
-            }
-        finally:
-            conn.close()
-        rows = []
-        for entry in entries:
-            if not isinstance(entry, dict):
-                continue
-            try:
-                recorded = parse_when(entry.get("recorded_at", 0))
-            except WarehouseError:
-                continue
-            version = str(entry.get("code_version", ""))
-            workers = entry.get("workers")
-            tags = ",".join(entry.get("tags") or [])
-            per_scenario = entry.get("per_scenario_wall_s") or {}
-            for scenario, wall in per_scenario.items():
-                if (recorded, version, scenario) in existing:
-                    continue
-                rows.append(
-                    (recorded, version, scenario, float(wall),
-                     workers, tags)
-                )
-        if rows:
-            self._enqueue(("sql", (_INSERT_BENCH, rows)))
-            self.flush()
-        return len(rows)
-
     def flush(self, timeout_s: float = 30.0) -> None:
         """Block until everything enqueued so far is committed."""
         if self._writer is None or not self._writer.is_alive():
@@ -449,11 +386,11 @@ class ResultsWarehouse:
     ) -> Dict[str, Any]:
         """Compact the warehouse to a retention window and/or row cap.
 
-        ``days`` drops ``results`` and ``bench_history`` rows recorded
-        more than that many days ago; ``rows`` additionally caps
-        ``results`` to the newest N.  Runs serialized on the writer
-        thread (deletes commit first, then ``VACUUM`` reclaims the
-        file space outside any transaction).  Returns a summary dict.
+        ``days`` drops ``results`` rows recorded more than that many
+        days ago; ``rows`` additionally caps ``results`` to the newest
+        N.  Runs serialized on the writer thread (deletes commit first,
+        then ``VACUUM`` reclaims the file space outside any
+        transaction).  Returns a summary dict.
         """
         if days is None and rows is None:
             raise WarehouseError(
@@ -469,14 +406,10 @@ class ResultsWarehouse:
         )
 
         def _task(conn: sqlite3.Connection) -> Dict[str, Any]:
-            expired = bench = capped = 0
+            expired = capped = 0
             if cutoff is not None:
                 expired = conn.execute(
                     "DELETE FROM results WHERE recorded_at < ?", (cutoff,)
-                ).rowcount
-                bench = conn.execute(
-                    "DELETE FROM bench_history WHERE recorded_at < ?",
-                    (cutoff,),
                 ).rowcount
             if rows is not None:
                 capped = conn.execute(
@@ -495,7 +428,6 @@ class ResultsWarehouse:
                 "path": str(self.path),
                 "removed_expired": int(expired),
                 "removed_over_cap": int(capped),
-                "bench_removed": int(bench),
                 "remaining": int(remaining),
                 "vacuumed": bool(vacuum),
                 "cutoff": cutoff,
@@ -658,34 +590,12 @@ class ResultsWarehouse:
         finally:
             conn.close()
 
-    def bench_trend(
-        self, scenario: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[Dict[str, Any]]:
-        """Ingested bench-history rows (oldest first) for trend queries."""
-        sql = "SELECT * FROM bench_history"
-        params: List[Any] = []
-        if scenario is not None:
-            sql += " WHERE scenario = ?"
-            params.append(scenario)
-        sql += " ORDER BY recorded_at, id"
-        if limit is not None:
-            sql += " LIMIT ?"
-            params.append(int(limit))
-        conn = self._read_conn()
-        try:
-            return [dict(row) for row in conn.execute(sql, params)]
-        finally:
-            conn.close()
-
     def stats(self) -> Dict[str, Any]:
         """Row counts and span for ``repro query --stats`` style output."""
         conn = self._read_conn()
         try:
             (results,) = conn.execute(
                 "SELECT COUNT(*) FROM results"
-            ).fetchone()
-            (bench,) = conn.execute(
-                "SELECT COUNT(*) FROM bench_history"
             ).fetchone()
             span = conn.execute(
                 "SELECT MIN(recorded_at), MAX(recorded_at) FROM results"
@@ -702,7 +612,6 @@ class ResultsWarehouse:
         return {
             "path": str(self.path),
             "results": int(results),
-            "bench_history": int(bench),
             "jobs": int(jobs),
             "code_versions": int(versions),
             "first_recorded_at": span[0],

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine import registry
+from repro.engine.executor import run_spec
 from repro.engine.registry import scenario
 
 
@@ -98,6 +99,18 @@ class TestSelection:
 
     def test_no_filter_returns_everything(self):
         assert registry.select() == registry.all_scenarios()
+
+
+class TestAblationVerdicts:
+    @pytest.mark.parametrize(
+        "entry", registry.select(tags=["ablation"]), ids=lambda s: s.name
+    )
+    def test_ablation_reproduces(self, entry):
+        """A1-A9 run clean and every verdict holds (negative controls
+        declared via ``expected_false`` excepted)."""
+        result = run_spec(entry.spec)
+        assert result.ok, f"{entry.name} {result.status}: {result.error}"
+        assert result.reproduced, f"{entry.name} verdict: {result.verdict}"
 
 
 class TestRegistration:

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service import protocol
 from repro.service.protocol import (
@@ -136,6 +137,74 @@ class TestFrameDecoder:
             decoder.next_frame()
         assert info.value.code == "bad-json" and not info.value.fatal
         assert decoder.next_frame()["type"] == "ping"
+
+    def test_long_run_of_blank_lines_is_skipped(self):
+        # a peer can send any number of keep-alive newlines; skipping
+        # them must not grow the stack
+        decoder = FrameDecoder()
+        decoder.feed(b"\n" * 5000 + frame_bytes(type="ping"))
+        assert decoder.next_frame()["type"] == "ping"
+        assert decoder.next_frame() is None
+        assert decoder.pending_bytes() == 0
+
+
+_messages = st.lists(
+    st.fixed_dictionaries(
+        {"type": st.text(min_size=1, max_size=8)},
+        optional={"job": st.text(max_size=12),
+                  "n": st.integers(-10**6, 10**6)},
+    ),
+    max_size=6,
+)
+
+
+def _drain(decoder: FrameDecoder, events: list) -> None:
+    while True:
+        try:
+            message = decoder.next_frame()
+        except ProtocolError as exc:
+            events.append(("error", exc.code, exc.fatal))
+            continue
+        if message is None:
+            return
+        events.append(message)
+
+
+class TestFrameDecoderProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        before=_messages,
+        after=_messages,
+        garbage=st.binary(max_size=40).filter(lambda b: b"\n" not in b),
+        blanks=st.integers(0, 3),
+        cuts=st.lists(st.integers(0, 4096), max_size=12),
+    )
+    def test_any_chunking_decodes_the_same_stream(
+        self, before, after, garbage, blanks, cuts
+    ):
+        """Chunk boundaries never change what decodes, and a garbage
+        line costs exactly one non-fatal error: the frames after it
+        still arrive."""
+        framed = [{"v": PROTOCOL_VERSION, **m} for m in before + after]
+        stream = b"".join(
+            encode_frame(m) + b"\n" * blanks for m in framed[:len(before)]
+        )
+        # '#' never starts a JSON value, so the line cannot parse
+        stream += b"#" + garbage + b"\n"
+        stream += b"".join(encode_frame(m) for m in framed[len(before):])
+        bounds = sorted({c % (len(stream) + 1) for c in cuts})
+        decoder = FrameDecoder()
+        events: list = []
+        start = 0
+        for end in bounds + [len(stream)]:
+            decoder.feed(stream[start:end])
+            _drain(decoder, events)
+            start = end
+        assert events == (
+            framed[:len(before)] + [("error", "bad-json", False)]
+            + framed[len(before):]
+        )
+        assert decoder.pending_bytes() == 0
 
 
 class TestRequestValidation:

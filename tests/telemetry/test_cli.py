@@ -108,27 +108,6 @@ class TestQueryCommand:
         stats = json.loads(capsys.readouterr().out)
         assert stats["results"] == 3 and stats["jobs"] == 1
 
-    def test_ingest_trajectory(self, tmp_path, capsys):
-        db = tmp_path / "wh.sqlite"
-        trajectory = tmp_path / "BENCH_TRAJECTORY.json"
-        trajectory.write_text(json.dumps({"entries": [{
-            "recorded_at": "2026-08-01T00:00:00Z",
-            "code_version": "v1",
-            "workers": 2,
-            "tags": ["perf"],
-            "per_scenario_wall_s": {"E10": 0.5},
-        }]}))
-        rc = main(["query", "--db", str(db),
-                   "--ingest-trajectory", str(trajectory)])
-        assert rc == 0
-        assert "ingested 1" in capsys.readouterr().out
-        rc = main(["query", "--db", str(db), "--bench-trend",
-                   "--format", "json"])
-        assert rc == 0
-        (row,) = json.loads(capsys.readouterr().out)
-        assert row["scenario"] == "E10"
-        assert row["wall_time_s"] == pytest.approx(0.5)
-
     def test_env_fallback_for_the_db_path(self, tmp_path, capsys,
                                           monkeypatch):
         db = tmp_path / "wh.sqlite"
@@ -198,7 +177,8 @@ class _PreWatchServer:
 
     Answers ``watch`` with ``unknown-type`` (exactly what an old
     server's validator does) and serves ``status`` polls, so the CLI's
-    fallback path can be exercised against the real wire behavior.
+    handling of a refused watch frame is exercised against the real
+    wire behavior.
     """
 
     def __init__(self):
@@ -249,57 +229,24 @@ class _PreWatchServer:
         self._sock.close()
 
 
-class TestStatusWatchFallback:
-    def test_watch_falls_back_to_polling_on_unknown_type(self, capsys):
-        import threading
-        import time as time_mod
-
+class TestStatusWatchRefused:
+    def test_refused_watch_frame_is_a_usage_error(self, capsys):
         stub = _PreWatchServer()
         try:
-            thread = threading.Thread(
-                target=main,
-                args=(["status", "--host", stub.host,
+            rc = main(["status", "--host", stub.host,
                        "--port", str(stub.port), "--watch",
-                       "--interval", "0.01", "--timeout", "5"],),
-                daemon=True,
-            )
-            thread.start()
-            deadline = time_mod.monotonic() + 15
-            while (stub.status_polls < 2
-                   and time_mod.monotonic() < deadline):
-                time_mod.sleep(0.01)
+                       "--interval", "0.01", "--timeout", "5"])
         finally:
             stub.close()
-        # the watch frame was refused once, then the CLI switched to
-        # the classic polling loop for good
+        # one refused watch frame ends the command: no reconnect
+        # loop, no status polls
+        assert rc == 2
         assert stub.watch_refusals == 1
-        assert stub.status_polls >= 2
+        assert stub.status_polls == 0
         captured = capsys.readouterr()
-        assert "falling back to polling" in captured.err
-        assert '"jobs"' in captured.out
-
-    def test_forced_poll_never_sends_a_watch_frame(self):
-        import threading
-        import time as time_mod
-
-        stub = _PreWatchServer()
-        try:
-            thread = threading.Thread(
-                target=main,
-                args=(["status", "--host", stub.host,
-                       "--port", str(stub.port), "--watch", "--poll",
-                       "--interval", "0.01", "--timeout", "5"],),
-                daemon=True,
-            )
-            thread.start()
-            deadline = time_mod.monotonic() + 15
-            while (stub.status_polls < 2
-                   and time_mod.monotonic() < deadline):
-                time_mod.sleep(0.01)
-        finally:
-            stub.close()
-        assert stub.watch_refusals == 0
-        assert stub.status_polls >= 2
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "refused the watch frame" in captured.err
+        assert captured.out == ""
 
 
 class TestQueryServe:

@@ -1,6 +1,6 @@
 """The sqlite results warehouse: round trips, filters, concurrency."""
 
-import json
+import sqlite3
 import threading
 import time
 
@@ -218,45 +218,6 @@ class TestConcurrency:
         b.close()
 
 
-class TestBenchIngest:
-    def _trajectory(self, tmp_path, entries):
-        path = tmp_path / "BENCH_TRAJECTORY.json"
-        path.write_text(json.dumps({"entries": entries}))
-        return path
-
-    def test_ingest_is_idempotent(self, tmp_path):
-        path = self._trajectory(tmp_path, [
-            {
-                "recorded_at": "2026-08-01T10:00:00Z",
-                "code_version": "v1",
-                "workers": 4,
-                "tags": ["perf"],
-                "per_scenario_wall_s": {"E10": 0.5, "E14": 1.25},
-            },
-            {
-                "recorded_at": "2026-08-02T10:00:00Z",
-                "code_version": "v2",
-                "workers": 4,
-                "tags": ["perf"],
-                "per_scenario_wall_s": {"E10": 0.4},
-            },
-        ])
-        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
-            assert wh.ingest_trajectory(path) == 3
-            assert wh.ingest_trajectory(path) == 0
-            trend = wh.bench_trend("E10")
-            assert [r["code_version"] for r in trend] == ["v1", "v2"]
-            assert trend[0]["wall_time_s"] == pytest.approx(0.5)
-            assert wh.stats()["bench_history"] == 3
-
-    def test_ingest_rejects_non_trajectory_payloads(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"whatever": 1}))
-        with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
-            with pytest.raises(WarehouseError):
-                wh.ingest_trajectory(path)
-
-
 class TestStats:
     def test_stats_counts_rows_jobs_versions(self, tmp_path):
         with ResultsWarehouse(tmp_path / "wh.sqlite") as wh:
@@ -268,3 +229,36 @@ class TestStats:
         assert stats["jobs"] == 2
         assert stats["code_versions"] == 1
         assert stats["first_recorded_at"] <= stats["last_recorded_at"]
+
+
+class TestOlderSchemas:
+    def test_tables_the_schema_no_longer_owns_are_left_alone(self, tmp_path):
+        """A database written by an older release keeps opening,
+        querying and compacting; tables the current schema dropped are
+        neither read nor touched."""
+        db = tmp_path / "wh.sqlite"
+        with ResultsWarehouse(db) as wh:
+            wh.record_result(result(), job_id="job-1")
+            wh.flush()
+        conn = sqlite3.connect(db)
+        with conn:
+            conn.execute(
+                "CREATE TABLE retired_history (id INTEGER PRIMARY KEY, "
+                "recorded_at REAL NOT NULL, scenario TEXT NOT NULL)"
+            )
+            conn.execute(
+                "INSERT INTO retired_history (recorded_at, scenario) "
+                "VALUES (0.0, 'E10')"
+            )
+        conn.close()
+        with ResultsWarehouse(db) as wh:
+            assert wh.count() == 1
+            assert wh.stats()["results"] == 1
+            summary = wh.retain(days=0, vacuum=False)
+        assert summary["removed_expired"] == 1
+        conn = sqlite3.connect(db)
+        (legacy,) = conn.execute(
+            "SELECT COUNT(*) FROM retired_history"
+        ).fetchone()
+        conn.close()
+        assert legacy == 1
