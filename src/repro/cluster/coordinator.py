@@ -7,14 +7,19 @@ ordinary service protocol to clients (``submit``/``status``/``stream``/
 ``lease-result``) on the same listener.  Submitted jobs flow through
 the server machinery unchanged — validation, streaming, cancel,
 status — but execution happens in the :class:`ClusterPool`: every
-spec becomes one lease, granted spec-by-spec off a work-stealing
-queue, so a slow worker never strands the tail of a sweep.
+spec becomes one lease off a work-stealing queue, so a slow worker
+never strands the tail of a sweep.  A worker holds its ``capacity``
+of leases at least, and beyond that a *window* of cheap specs sized
+from their measured cost, so a sweep of sub-millisecond specs does
+not pay a lease round trip per spec.
 
 Failure model:
 
 * a worker connection drop (or missed heartbeats past the lease
   timeout) requeues its in-flight leases at the *front* of the
-  backlog and returns its unstarted queue items to the backlog;
+  backlog and returns its unstarted queue items to the backlog; only
+  the head lease — the one it was executing — is charged against
+  the spec's retry budget;
 * a coordinator crash is recovered by ``--resume``: the job journal
   is replayed, finished jobs are restored for late ``status``/
   ``stream`` requests, unfinished jobs re-enter the pool with only
@@ -90,8 +95,8 @@ class WorkItem:
     """One spec awaiting (or under) execution for one batch."""
 
     __slots__ = ("spec", "job_id", "sink", "batch_id", "abandoned",
-                 "delivered", "leased_at", "requeues", "trace_id",
-                 "span_id", "parent_span")
+                 "delivered", "leased_at", "estimate_s", "requeues",
+                 "trace_id", "span_id", "parent_span")
 
     def __init__(self, spec: ScenarioSpec, job_id: str, sink,
                  batch_id: str):
@@ -102,6 +107,7 @@ class WorkItem:
         self.abandoned = False
         self.delivered = False
         self.leased_at = 0.0      # loop time of the latest grant
+        self.estimate_s = 0.0     # cost charged to the holder's window
         # involuntary requeues only (worker death, undecodable result)
         # — graceful lease releases are free.  Past max_spec_retries
         # the spec is quarantined instead of requeued.
@@ -170,7 +176,11 @@ class WorkerHandle:
         self.writer = writer
         self.lock = lock
         self.last_seen = now
+        #: lease id -> item, in grant order (the worker executes in
+        #: that order, so the first entry is the one it is running)
         self.leases: Dict[str, WorkItem] = {}
+        #: summed cost estimate of the held leases (the window fill)
+        self.held_s = 0.0
         self.connected = True
         self.completed = 0
         # set when the worker sends a release frame: a draining worker
@@ -199,6 +209,12 @@ class ClusterPool:
 
     #: involuntary requeues one spec survives before quarantine.
     DEFAULT_MAX_SPEC_RETRIES = DEFAULT_MAX_SPEC_RETRIES
+    #: estimated seconds of work a worker may hold beyond its capacity
+    WINDOW_BUDGET_S = 0.005
+    #: hard cap on the leases one worker holds through its window
+    WINDOW_CAP = 32
+    #: weight of the newest wall time in a scenario's running mean
+    COST_WEIGHT = 0.25
 
     def __init__(
         self,
@@ -226,6 +242,8 @@ class ClusterPool:
         self.workers: Dict[str, WorkerHandle] = {}
         self._by_writer: Dict[int, str] = {}
         self._batches = BatchTable()
+        #: scenario name -> running mean of its specs' wall time
+        self._cost: Dict[str, float] = {}
         self.closed = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._monitor_task: Optional[asyncio.Task] = None
@@ -342,12 +360,19 @@ class ClusterPool:
             return
         worker.connected = False
         self._by_writer.pop(id(worker.writer), None)
-        requeued = 0
-        for item in worker.leases.values():
-            if not item.abandoned and not item.delivered:
-                if self._requeue_or_quarantine(item, front=True):
-                    requeued += 1
+        leases = list(worker.leases.values())
         worker.leases.clear()
+        worker.held_s = 0.0
+        # only the head lease, the one the worker was executing, can
+        # have taken it down; the rest of its window was prefetched and
+        # goes back uncharged.  Pushed tail first, so the window keeps
+        # its order at the front of the backlog.
+        requeued = 0
+        for n, item in reversed(list(enumerate(leases))):
+            if not item.abandoned and not item.delivered:
+                if self._requeue_or_quarantine(item, front=True,
+                                               charge=n == 0):
+                    requeued += 1
         self.queue.remove_worker(worker_id)
         METRICS.counter("cluster.workers_lost").inc()
         METRICS.gauge("cluster.workers").set(len(self.workers))
@@ -357,21 +382,22 @@ class ClusterPool:
         if not self.closed and (requeued or self.queue.pending()):
             self.loop.create_task(self.dispatch_all())
 
-    def _requeue_or_quarantine(self, item: WorkItem,
-                               front: bool) -> bool:
+    def _requeue_or_quarantine(self, item: WorkItem, front: bool,
+                               charge: bool = True) -> bool:
         """Requeue an involuntarily-lost lease, or quarantine it.
 
-        Returns True when the item went back on the queue.  Each call
-        burns one retry; past ``max_spec_retries`` the spec is deemed
-        poisoned — it has now taken down (or confused) too many
+        Returns True when the item went back on the queue.  A charged
+        call burns one retry; past ``max_spec_retries`` the spec is
+        deemed poisoned — it has now taken down (or confused) too many
         workers — and is converted into a structured failure result so
         the batch can finish instead of cycling the same landmine
         through every worker the supervisor restarts.
         """
-        item.requeues += 1
-        if item.requeues > self.max_spec_retries:
-            self._quarantine(item)
-            return False
+        if charge:
+            item.requeues += 1
+            if item.requeues > self.max_spec_retries:
+                self._quarantine(item)
+                return False
         if front:
             self.queue.push_front(item)
         else:
@@ -410,6 +436,7 @@ class ClusterPool:
             item = worker.leases.pop(lease_id, None)
             if item is None:
                 continue
+            self._unhold(worker, item)
             if not item.abandoned and not item.delivered:
                 self.queue.push_front(item)
                 returned += 1
@@ -433,6 +460,7 @@ class ClusterPool:
                 BUS.emit(_COMPONENT, "stale-result", worker=worker.id,
                          lease=lease_id)
             return
+        self._unhold(worker, item)
         if not item.abandoned and not item.delivered:
             try:
                 result = ScenarioResult.from_dict(result_data)
@@ -443,6 +471,7 @@ class ClusterPool:
                 # speed (heartbeats re-pump idle workers instead)
                 self._requeue_or_quarantine(item, front=False)
                 raise
+            self._learn(item.spec.name, result.elapsed_s)
             self._batches.deliver(item)
             worker.completed += 1
             self.total_completed += 1
@@ -473,74 +502,139 @@ class ClusterPool:
 
     # -- scheduling ----------------------------------------------------------
 
+    def _estimate(self, spec: ScenarioSpec) -> float:
+        """Expected wall time of *spec*: its scenario's running mean, or
+        a full window for a scenario not seen yet."""
+        return self._cost.get(spec.name, self.WINDOW_BUDGET_S)
+
+    def _learn(self, name: str, elapsed_s: float) -> None:
+        mean = self._cost.get(name)
+        self._cost[name] = elapsed_s if mean is None else (
+            mean + self.COST_WEIGHT * (elapsed_s - mean)
+        )
+
+    @staticmethod
+    def _unhold(worker: WorkerHandle, item: WorkItem) -> None:
+        """Take a lease that left *worker* out of its window fill."""
+        if worker.leases:
+            worker.held_s -= item.estimate_s
+        else:
+            worker.held_s = 0.0   # no float drift on an empty window
+
     async def dispatch_all(self) -> None:
         for worker in list(self.workers.values()):
             await self._grant(worker)
 
     async def _grant(self, worker: WorkerHandle) -> None:
-        while (
-            not self.closed
-            and worker.connected
-            and not worker.draining
-            and worker.id in self.workers
-            and len(worker.leases) < worker.capacity
-        ):
+        """Top *worker* up: its ``capacity`` floor, then its window.
+
+        The floor takes items one at a time from the worker's own
+        deque, the backlog or a steal.  The window only tops up once
+        the estimate the worker holds has fallen below half of
+        :attr:`WINDOW_BUDGET_S`, and only from the worker's own deque,
+        so it never takes work another idle worker would get.  It takes
+        the next item while that fits the budget, up to
+        :attr:`WINDOW_CAP` leases; a heavy spec therefore only lands in
+        an empty window.  The grant goes out as one write and one
+        journal flush.
+        """
+        if (self.closed or not worker.connected or worker.draining
+                or worker.id not in self.workers):
+            return
+        granted: List[tuple] = []
+        while len(worker.leases) < worker.capacity:
             item = self.queue.pop(worker.id)
             if item is None:
-                return
-            if item.abandoned or item.delivered:
-                continue
-            stolen = self.queue.stole_last
-            self._lease_counter += 1
-            lease_id = f"lease-{self._lease_counter}"
-            worker.leases[lease_id] = item
-            item.leased_at = self.loop.time()
-            METRICS.counter("cluster.leases_granted").inc()
-            if stolen:
-                METRICS.counter("cluster.steals").inc()
-            METRICS.gauge("cluster.queued").set(self.queue.pending())
-            if BUS.enabled:
-                BUS.emit(_COMPONENT,
-                         "lease-steal" if stolen else "lease-grant",
-                         job_id=item.job_id,
-                         spec_hash=item.spec.content_hash,
-                         worker=worker.id, lease=lease_id)
-            if self.journal is not None:
-                self.journal.record_lease(
-                    item.job_id, item.spec.content_hash, worker.id
-                )
-            trace = None
-            if self.trace_resolver is not None and item.job_id:
-                context = self.trace_resolver(item.job_id)
-                if context:
-                    item.trace_id, item.parent_span = context
-                    item.span_id = new_span_id()
-                    trace = {"id": item.trace_id, "span": item.span_id}
-            try:
-                frame = protocol.encode_frame(
-                    protocol.make_lease(lease_id, item.spec.to_dict(),
-                                        job=item.job_id, trace=trace)
-                )
-                async with worker.lock:
-                    worker.writer.write(frame)
-                    await worker.writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError,
-                    ProtocolError):
-                self.worker_lost(worker.id)
-                return
-            if (self.chaos is not None
-                    and self.chaos.fire("kill-pool")):
-                # chaos: the whole pool dies abruptly at this grant —
-                # the in-schedule stand-in for SIGKILLing a federated
-                # pool (no farewell frames, journal left mid-job)
-                import os as _os
-                import sys as _sys
+                break
+            lease = self._lease(worker, item, self.queue.stole_last)
+            if lease is not None:
+                granted.append(lease)
+        budget = self.WINDOW_BUDGET_S
+        if worker.held_s < budget / 2:
+            def fits(item: WorkItem) -> bool:
+                return (item.abandoned or item.delivered
+                        or worker.held_s + self._estimate(item.spec)
+                        <= budget)
 
-                print(
-                    f"chaos: kill-pool firing at lease {lease_id}",
-                    file=_sys.stderr, flush=True,
+            while len(worker.leases) < self.WINDOW_CAP:
+                item = self.queue.pop_own(worker.id, fits)
+                if item is None:
+                    break
+                lease = self._lease(worker, item, False)
+                if lease is not None:
+                    granted.append(lease)
+        if not granted:
+            return
+        METRICS.counter("cluster.leases_granted").inc(len(granted))
+        METRICS.gauge("cluster.queued").set(self.queue.pending())
+        if self.journal is not None:
+            self.journal.record_leases(
+                (item.job_id, item.spec.content_hash, worker.id)
+                for _lease_id, item, _frame in granted
+            )
+        try:
+            async with worker.lock:
+                worker.writer.write(
+                    b"".join(frame for _l, _i, frame in granted)
                 )
-                _os._exit(86)
+                await worker.writer.drain()
+        except OSError:
+            self.worker_lost(worker.id)
+            return
+        if self.chaos is not None:
+            for lease_id, _item, _frame in granted:
+                if self.chaos.fire("kill-pool"):
+                    # chaos: the whole pool dies abruptly at this
+                    # grant — the in-schedule stand-in for SIGKILLing a
+                    # federated pool (no farewell frames, journal left
+                    # mid-job)
+                    import os as _os
+                    import sys as _sys
+
+                    print(
+                        f"chaos: kill-pool firing at lease {lease_id}",
+                        file=_sys.stderr, flush=True,
+                    )
+                    _os._exit(86)
+
+    def _lease(self, worker: WorkerHandle, item: WorkItem,
+               stolen: bool) -> Optional[tuple]:
+        """Book *item* as a new lease of *worker*; returns
+        ``(lease_id, item, frame)``, or None for an item already done
+        with and for a spec too large to lease, which burns a retry
+        instead of evicting the worker."""
+        if item.abandoned or item.delivered:
+            return None
+        self._lease_counter += 1
+        lease_id = f"lease-{self._lease_counter}"
+        trace = None
+        if self.trace_resolver is not None and item.job_id:
+            context = self.trace_resolver(item.job_id)
+            if context:
+                item.trace_id, item.parent_span = context
+                item.span_id = new_span_id()
+                trace = {"id": item.trace_id, "span": item.span_id}
+        try:
+            frame = protocol.encode_frame(
+                protocol.make_lease(lease_id, item.spec.to_dict(),
+                                    job=item.job_id, trace=trace)
+            )
+        except ProtocolError:
+            self._requeue_or_quarantine(item, front=False)
+            return None
+        worker.leases[lease_id] = item
+        item.leased_at = self.loop.time()
+        item.estimate_s = self._estimate(item.spec)
+        worker.held_s += item.estimate_s
+        if stolen:
+            METRICS.counter("cluster.steals").inc()
+        if BUS.enabled:
+            BUS.emit(_COMPONENT,
+                     "lease-steal" if stolen else "lease-grant",
+                     job_id=item.job_id,
+                     spec_hash=item.spec.content_hash,
+                     worker=worker.id, lease=lease_id)
+        return lease_id, item, frame
 
     async def _monitor(self) -> None:
         """Expire leases of workers that stopped heartbeating."""

@@ -27,8 +27,8 @@ Every state transition the coordinator must survive is one JSON line:
 specs each unfinished job still owes (its *pending* set) and the
 results already banked, in completion order.  A torn final line — the
 signature of a crash mid-write — is tolerated and dropped.  Writes are
-flushed per record so an abrupt coordinator death loses at most the
-record being written.
+flushed per record — the lease lines of one grant share a flush — so
+an abrupt coordinator death loses at most the write in progress.
 
 Compaction keeps replay O(live jobs) instead of O(history): every
 ``compact_every`` appended records (or on an explicit
@@ -300,17 +300,17 @@ class JobJournal:
     def snapshot_path(self) -> Path:
         return self.path.with_name(self.path.name + ".snapshot")
 
-    def _append(self, line: str) -> None:
-        """Write one record line; the caller holds the lock."""
+    def _append(self, *lines: str) -> None:
+        """Write record lines with one flush; the caller holds the lock."""
         if self._fh is None:
             self._fh = self.path.open("a")
             if _ends_torn(self.path):
                 # seal a crash-torn final line so this record starts a
                 # line of its own, as the fold assumes
                 self._fh.write("\n")
-        self._fh.write(line + "\n")
+        self._fh.write("".join(line + "\n" for line in lines))
         self._fh.flush()
-        self._appended += 1
+        self._appended += len(lines)
 
     def _maybe_compact(self) -> None:
         """Auto-compact once the fold holds the record just appended."""
@@ -339,8 +339,19 @@ class JobJournal:
 
     def record_lease(self, job_id: str, spec_hash: str,
                      worker: str) -> None:
-        self._write({"e": "lease", "job": job_id, "spec": spec_hash,
-                     "worker": worker})
+        self.record_leases([(job_id, spec_hash, worker)])
+
+    def record_leases(self, leases: Iterable[tuple]) -> None:
+        """One grant of ``(job, spec hash, worker)`` leases: a ``lease``
+        line per spec, written with one flush."""
+        lines = [
+            _dumps({"e": "lease", "job": job_id, "spec": spec_hash,
+                    "worker": worker})
+            for job_id, spec_hash, worker in leases
+        ]
+        with self._lock:
+            self._append(*lines)
+            self._maybe_compact()
 
     def record_assign(self, job_id: str, spec_hash: str,
                       pool: str) -> None:

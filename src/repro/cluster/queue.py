@@ -19,7 +19,7 @@ of operations.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 
 class WorkStealingQueue:
@@ -98,6 +98,21 @@ class WorkStealingQueue:
             self.stole_last = True
             return self._deques[victim].pop()
         return None
+
+    def pop_own(self, worker_id: str,
+                admit: Optional[Callable[[Any], bool]] = None
+                ) -> Optional[Any]:
+        """The front of this worker's own deque, or ``None``.
+
+        Never the backlog and never a steal: work the worker takes
+        beyond its next item stays work that was routed to it anyway.
+        With *admit*, the front item is taken only if ``admit(item)``
+        holds; otherwise it stays where it is.
+        """
+        own = self._deques.get(worker_id)
+        if not own or (admit is not None and not admit(own[0])):
+            return None
+        return own.popleft()
 
     # -- introspection ------------------------------------------------------
 

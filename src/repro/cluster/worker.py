@@ -10,9 +10,10 @@ a time through an ordinary :class:`~repro.service.backend.LocalBackend`
 the journal; killing a worker loses nothing but the leases it held,
 which the coordinator requeues.
 
-Execution is strictly serial per worker even when ``capacity > 1``
-(capacity only prefetches the next lease into the socket buffer):
-scenario seeding goes through the process-global RNGs, so in-process
+Execution is strictly serial per worker even when it holds several
+leases (``capacity > 1``, or the coordinator's window of cheap specs):
+the extra leases only wait in the socket buffer.  Scenario seeding
+goes through the process-global RNGs, so in-process
 concurrency would break bit-reproducibility.  Scale-out is more
 workers, not threads.
 """

@@ -1011,7 +1011,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_worker.add_argument(
         "--capacity", type=int, default=1,
-        help="outstanding leases to prefetch (execution stays serial)",
+        help="leases always outstanding; the coordinator may add "
+             "cheap specs beyond it (execution stays serial)",
     )
     p_worker.add_argument(
         "--cache", default=".repro_cache",

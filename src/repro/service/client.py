@@ -83,6 +83,10 @@ class ServiceClient:
                     (self.host, self.port), timeout=self.connect_timeout
                 )
                 self._sock.settimeout(self.timeout)
+                # frames are small and often back to back (a worker's
+                # results); Nagle would hold each behind a delayed ACK
+                self._sock.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
                 return
             except OSError as exc:
                 last_error = exc

@@ -352,8 +352,9 @@ def make_register(name: str, capacity: int = 1) -> Dict[str, Any]:
     """A worker announcing itself to the coordinator.
 
     ``capacity`` is the number of leases the worker wants outstanding
-    at once (execution itself stays serial per worker; capacity > 1
-    only prefetches the next spec while one runs).
+    at once, at least (execution itself stays serial per worker; the
+    extra leases, and any cheap specs the coordinator's lease window
+    adds, only wait while one runs).
     """
     return _message("register", name=name, capacity=int(capacity))
 

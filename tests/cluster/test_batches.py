@@ -5,24 +5,32 @@ the batch on every delivery.  These tests finish a batch through each
 path that touches an item — plain completion, quarantine, graceful
 release, involuntary requeue, abandon — and check the batch table
 empties exactly when the last item is delivered.
+
+The lease-window tests check how many leases a worker holds beyond its
+``capacity`` floor once spec costs are learned, where the extras come
+from, and what a loss or a drain does to a full window; a hypothesis
+property drives random pool operations with windows on.
 """
 
 import asyncio
 import queue as stdlib_queue
 
-from repro.cluster.coordinator import ClusterPool
+from hypothesis import given, settings, strategies as st
+
+from repro.cluster.coordinator import ClusterPool, WorkItem
+from repro.cluster.journal import JobJournal
 from repro.cluster.federation import FederationPool
 from repro.engine.results import ScenarioResult
 from repro.engine.spec import ScenarioSpec
 
 
-def _specs(n):
-    return [ScenarioSpec("_batch", {"i": i}) for i in range(n)]
+def _specs(n, name="_batch", start=0):
+    return [ScenarioSpec(name, {"i": i}) for i in range(start, start + n)]
 
 
-def _result(spec):
+def _result(spec, elapsed_s=0.0):
     return ScenarioResult(name=spec.name, spec_hash=spec.content_hash,
-                          params=spec.params_dict())
+                          params=spec.params_dict(), elapsed_s=elapsed_s)
 
 
 class FakeWriter:
@@ -46,11 +54,12 @@ def _drain(sink):
     return out
 
 
-def run_pool(body, max_spec_retries=5):
-    """Run *body(pool, register, sink, batch_id)* on a fresh pool."""
+def run_pool(body, max_spec_retries=5, journal=None):
+    """Run *body(pool, register, sink)* on a fresh pool."""
 
     async def main():
-        pool = ClusterPool(max_spec_retries=max_spec_retries)
+        pool = ClusterPool(max_spec_retries=max_spec_retries,
+                           journal=journal)
         pool.start(asyncio.get_running_loop())
         sink = stdlib_queue.Queue()
 
@@ -158,6 +167,26 @@ class TestClusterPoolBatches:
 
         run_pool(body)
 
+    def test_oversized_spec_is_quarantined_and_the_worker_kept(self):
+        from repro.service.protocol import MAX_FRAME_BYTES
+
+        async def body(pool, register, sink):
+            huge = ScenarioSpec("_batch", {"blob": "x" * MAX_FRAME_BYTES})
+            small = _specs(1)[0]
+            worker = await register("w")
+            await pool.submit_batch([huge, small], sink)
+            # the lease frame cannot be encoded: each grant attempt
+            # burns a retry, and the connection is never blamed
+            assert [i.spec for i in worker.leases.values()] == [small]
+            await _complete_all(pool, worker)
+            assert pool.total_quarantined == 1
+            assert worker.id in pool.workers and not worker.leases
+            assert len(pool._batches) == 0
+            quarantined = [r for _kind, r in _drain(sink) if not r.ok]
+            assert [r.spec_hash for r in quarantined] == [huge.content_hash]
+
+        run_pool(body, max_spec_retries=2)
+
 
 class TestFederationPoolBatches:
     def _fed(self, n, max_spec_retries=5):
@@ -208,3 +237,269 @@ class TestFederationPoolBatches:
         assert len(fed._batches) == 0
         assert all(item.abandoned for item in items)
         assert _drain(sink) == [("abort", "federation front stopped")]
+
+
+CHEAP_S = 0.0001    # a learned cost far below the window budget
+
+
+async def _learn(pool, register, sink, name="_batch", elapsed_s=CHEAP_S):
+    """Teach the pool *name*'s cost through one completed lease."""
+    (spec,) = _specs(1, name=name, start=10_000)
+    teacher = await register("teacher")
+    await pool.submit_batch([spec], sink)
+    (lease_id,) = teacher.leases
+    await pool.complete(teacher, lease_id,
+                        _result(spec, elapsed_s).to_dict())
+    pool.worker_lost(teacher.id)
+    _drain(sink)
+
+
+class TestLeaseWindows:
+    def test_unknown_cost_grants_only_the_capacity_floor(self):
+        async def body(pool, register, sink):
+            worker = await register("w", capacity=2)
+            await pool.submit_batch(_specs(10), sink)
+            assert len(worker.leases) == 2
+            assert pool.queue.pending() == 8
+
+        run_pool(body)
+
+    def test_learned_cheap_cost_grows_the_window_to_the_cap(self, tmp_path):
+        journal = JobJournal(tmp_path / "j.jsonl")
+
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            worker = await register("w")
+            writes = len(worker.writer.frames)
+            lines_before = journal.path.read_text().count("\n")
+            await pool.submit_batch(_specs(50), sink)
+            assert len(worker.leases) == pool.WINDOW_CAP
+            # one write and one journal append for the whole grant,
+            # still one lease frame and one lease record per spec
+            assert len(worker.writer.frames) == writes + 1
+            assert worker.writer.frames[-1].count(b"\n") == pool.WINDOW_CAP
+            lines = journal.path.read_text().splitlines()[lines_before:]
+            assert len(lines) == pool.WINDOW_CAP
+            assert all('"e":"lease"' in line for line in lines)
+
+        run_pool(body, journal=journal)
+        journal.close()
+
+    def test_window_refills_only_below_half_the_budget(self):
+        async def body(pool, register, sink):
+            pool.WINDOW_BUDGET_S = 1.0
+            await _learn(pool, register, sink, elapsed_s=0.25)
+            worker = await register("w")
+            await pool.submit_batch(_specs(20), sink)
+            assert len(worker.leases) == 4       # 4 × 0.25 s fills 1 s
+            held = []
+            for _ in range(3):
+                lease_id, item = next(iter(worker.leases.items()))
+                await pool.complete(worker, lease_id,
+                                    _result(item.spec, 0.25).to_dict())
+                held.append(len(worker.leases))
+            # 0.75 s and 0.5 s held: no top-up; 0.25 s: refill to 1 s
+            assert held == [3, 2, 4]
+
+        run_pool(body)
+
+    def test_heavy_estimate_adds_no_extras(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink, elapsed_s=2.0)
+            worker = await register("w")
+            await pool.submit_batch(_specs(5), sink)
+            assert len(worker.leases) == 1
+
+        run_pool(body)
+
+    def test_heavy_spec_only_lands_in_an_empty_window(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            await _learn(pool, register, sink, name="_heavy",
+                         elapsed_s=2.0)
+            worker = await register("w")
+            cheap = _specs(3)
+            heavy = _specs(1, name="_heavy")
+            await pool.submit_batch(cheap + heavy + _specs(3, start=3),
+                                    sink)
+            # the window stops in front of the heavy spec, which stays
+            # queued (and stealable) until the worker has emptied
+            assert [i.spec for i in worker.leases.values()] == cheap
+            for lease_id, item in list(worker.leases.items()):
+                await pool.complete(worker, lease_id,
+                                    _result(item.spec).to_dict())
+            assert [i.spec for i in worker.leases.values()] == heavy
+
+        run_pool(body)
+
+    def test_extras_never_drain_the_backlog(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            await pool.submit_batch(_specs(10), sink)   # no worker yet
+            worker = await register("w")
+            assert len(worker.leases) == 1
+            assert pool.queue.pending() == 9
+
+        run_pool(body)
+
+    def test_extras_never_steal(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            thief = await register("thief")
+            victim = await register("victim")
+            victim.draining = True            # holds its deque, idle
+            for spec in _specs(6):
+                pool.queue.push(WorkItem(spec, "", sink, "b"), victim.id)
+            await pool._grant(thief)
+            assert len(thief.leases) == 1     # the floor's one steal
+            assert pool.queue.steals == 1
+            assert pool.queue.depths()[victim.id] == 5
+
+        run_pool(body)
+
+    def test_two_spec_sweep_on_two_idle_workers_grants_one_each(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            first = await register("first")
+            second = await register("second")
+            await pool.submit_batch(_specs(2), sink)
+            assert len(first.leases) == len(second.leases) == 1
+
+        run_pool(body)
+
+    def test_drain_release_returns_the_whole_window(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            worker = await register("w")
+            await pool.submit_batch(_specs(20), sink)
+            leases = list(worker.leases)
+            assert len(leases) == 20
+            assert pool.release(worker, leases) == 20
+            assert worker.leases == {} and worker.held_s == 0.0
+            assert pool.queue.pending() == 20
+            assert pool.total_requeued == 0
+
+        run_pool(body)
+
+    def test_lost_worker_charges_only_its_head_lease(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            worker = await register("w")
+            await pool.submit_batch(_specs(10), sink)
+            items = list(worker.leases.values())
+            assert len(items) == 10
+            pool.worker_lost(worker.id)
+            # the head is quarantined (budget 0); the prefetched rest
+            # is requeued uncharged, in lease order
+            assert pool.total_quarantined == 1
+            assert pool.total_requeued == 9
+            (kind, result), = _drain(sink)
+            assert result.spec_hash == items[0].spec.content_hash
+            assert [i.requeues for i in items[1:]] == [0] * 9
+            fresh = await register("fresh")
+            order = []
+            while fresh.leases:
+                lease_id, item = next(iter(fresh.leases.items()))
+                order.append(item)
+                await pool.complete(fresh, lease_id,
+                                    _result(item.spec).to_dict())
+            assert order == items[1:]
+            assert len(pool._batches) == 0
+
+        run_pool(body, max_spec_retries=0)
+
+
+# -- generated pool operations ----------------------------------------------
+
+_NAMES = {"_p_cheap": CHEAP_S, "_p_mid": 0.002, "_p_heavy": 1.0}
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(1, 8),
+                  st.sampled_from(sorted(_NAMES))),
+        st.tuples(st.just("register"), st.integers(1, 3)),
+        st.tuples(st.just("complete"), st.integers(0, 7),
+                  st.integers(0, 40)),
+        st.tuples(st.just("release"), st.integers(0, 7),
+                  st.integers(0, 40)),
+        st.tuples(st.just("lost"), st.integers(0, 7)),
+        st.tuples(st.just("pump"), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+def _check_exactly_once(pool, items):
+    """Every undelivered item sits in exactly one place: one worker's
+    leases or the queue."""
+    places = {}
+    for worker in pool.workers.values():
+        assert len(worker.leases) <= max(worker.capacity, pool.WINDOW_CAP)
+        for item in worker.leases.values():
+            places[id(item)] = places.get(id(item), 0) + 1
+    queued = list(pool.queue._backlog)
+    for deque_ in pool.queue._deques.values():
+        queued.extend(deque_)
+    for item in queued:
+        if not item.delivered:
+            places[id(item)] = places.get(id(item), 0) + 1
+    for item in items:
+        assert places.get(id(item), 0) == (0 if item.delivered else 1)
+
+
+class TestWindowProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ops=_OPS, retries=st.sampled_from([0, 1, 5]))
+    def test_each_spec_is_delivered_once_and_each_batch_closes(
+            self, ops, retries):
+        async def body(pool, register, sink):
+            items, counter = [], 0
+            for op in ops:
+                live = list(pool.workers.values())
+                kind = op[0]
+                if kind == "submit":
+                    specs = _specs(op[1], name=op[2], start=counter)
+                    counter += op[1]
+                    await pool.submit_batch(specs, sink)
+                    items.extend(pool._batches._open[
+                        f"batch-{pool._batch_counter}"][0])
+                elif kind == "register":
+                    await register(f"w{counter}", capacity=op[1])
+                    counter += 1
+                elif live:
+                    worker = live[op[1] % len(live)]
+                    leases = list(worker.leases)
+                    if kind == "complete" and leases:
+                        lease_id = leases[op[2] % len(leases)]
+                        spec = worker.leases[lease_id].spec
+                        await pool.complete(
+                            worker, lease_id,
+                            _result(spec, _NAMES[spec.name]).to_dict())
+                    elif kind == "release":
+                        pool.release(worker, leases[op[2] % 41:])
+                    elif kind == "lost":
+                        pool.worker_lost(worker.id)
+                    elif kind == "pump":
+                        pool.heartbeat(worker)
+                        await pool._grant(worker)
+                await asyncio.sleep(0)    # scheduled re-dispatches
+                _check_exactly_once(pool, items)
+            # the live workers and a fresh one finish whatever is left
+            await register("finisher", capacity=2)
+            for _ in range(10 * len(items) + 10):
+                busy = [w for w in pool.workers.values() if w.leases]
+                if not busy:
+                    break
+                for worker in busy:
+                    lease_id, item = next(iter(worker.leases.items()))
+                    await pool.complete(worker, lease_id,
+                                        _result(item.spec).to_dict())
+            assert all(item.delivered for item in items)
+            delivered = [r.spec_hash for kind, r in _drain(sink)]
+            assert sorted(delivered) == sorted(
+                item.spec.content_hash for item in items)
+            assert len(pool._batches) == 0
+            assert (pool.total_completed + pool.total_quarantined
+                    == len(items))
+
+        run_pool(body, max_spec_retries=retries)

@@ -117,6 +117,12 @@ class TestChaosEndToEnd:
             steady = BackgroundWorker(bg.host, bg.port,
                                       name="steady").start()
             try:
+                # both must hold a share of the sweep, or steady's
+                # window can take all of it before doomed registers
+                deadline = time.monotonic() + 10
+                while (len(coordinator.pool.workers) < 2
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
                 with ServiceClient(bg.host, bg.port,
                                    timeout=60) as client:
                     results = client.submit(specs)

@@ -16,9 +16,11 @@ import pytest
 
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.worker import BackgroundWorker
+from repro.engine.executor import execute
 from repro.engine.registry import scenario, unregister
 from repro.engine.spec import ScenarioSpec
 from repro.service import protocol
+from repro.service.backend import LocalBackend
 from repro.service.client import ServiceClient
 from repro.service.server import BackgroundServer
 
@@ -54,6 +56,28 @@ def _doomed_worker_cycle(host, port, name):
     return lease["spec"]["params"]
 
 
+class _LandmineBackend(LocalBackend):
+    """A worker's serial backend, except that one spec takes its worker
+    down mid-execution with the result unsent."""
+
+    def __init__(self, poison_hash):
+        super().__init__(backend="serial")
+        self.poison_hash = poison_hash
+        self.worker = None
+
+    def run(self, specs, progress=None, *, label=None):
+        if specs[0].content_hash == self.poison_hash:
+            self.worker.kill()
+        return super().run(specs, progress, label=label)
+
+
+def _payloads(results):
+    return sorted(
+        json.dumps(r.comparable_payload(), sort_keys=True)
+        for r in results
+    )
+
+
 class TestQuarantine:
     def test_spec_that_keeps_killing_workers_is_quarantined(self):
         coordinator = ClusterCoordinator(
@@ -84,6 +108,54 @@ class TestQuarantine:
             status = coordinator.cluster_status()
             assert status["quarantined"] == 1
         # no live worker ever existed: the job finished anyway
+
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_poison_in_a_window_is_quarantined_alone(self, retries):
+        # cheap specs are leased in windows: the poisoned spec dies as
+        # its worker's head lease while the specs prefetched behind it
+        # go back uncharged, so only the poison is quarantined
+        warm = [ScenarioSpec("_sh_sq", {"n": n}) for n in range(100, 106)]
+        specs = [ScenarioSpec("_sh_sq", {"n": n}) for n in range(30)]
+        poison = specs[3]
+        innocent = [s for s in specs if s is not poison]
+        serial = execute(innocent, backend="serial")
+        coordinator = ClusterCoordinator(
+            port=0, lease_timeout_s=3.0, max_spec_retries=retries
+        )
+        # a budget no loaded host can exhaust: each worker takes its
+        # whole deque as one window
+        coordinator.pool.WINDOW_BUDGET_S = 1.0
+        with BackgroundServer(server=coordinator) as bg:
+            fleet = []
+            for k in range(3):
+                backend = _LandmineBackend(poison.content_hash)
+                member = BackgroundWorker(bg.host, bg.port,
+                                          name=f"w{k}", backend=backend)
+                backend.worker = member.worker
+                fleet.append(member.start())
+            try:
+                deadline = time.monotonic() + 10
+                while (len(coordinator.pool.workers) < 3
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                with ServiceClient(bg.host, bg.port, timeout=60) as client:
+                    client.submit(warm)      # teaches the pool the cost
+                    results = client.submit(specs)
+                    assert client.last_done["failed"] == 1
+                (bad,) = [r for r in results if not r.ok]
+                assert bad.spec_hash == poison.content_hash
+                assert "quarantined" in bad.error
+                assert _payloads(r for r in results if r.ok) == (
+                    _payloads(serial)
+                )
+                pool = coordinator.pool
+                assert pool.total_quarantined == 1
+                # the first loss requeued the window behind the poison
+                assert pool.total_requeued > retries
+                assert len(pool.workers) == 3 - (retries + 1)
+            finally:
+                for member in fleet:
+                    member.stop()
 
     def test_graceful_release_does_not_burn_the_retry_budget(self):
         # a drain hand-off is not the spec's fault: release twice with

@@ -86,6 +86,12 @@ class TestRoundTripFidelity:
     def test_ping(self, client):
         assert client.ping()
 
+    def test_client_socket_disables_nagle(self, client):
+        # back-to-back small frames (a worker's results) must not wait
+        # on delayed ACKs
+        assert client._sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+
 
 class TestStreaming:
     def test_first_result_arrives_before_last_job_finishes(self, client):
