@@ -34,6 +34,7 @@ Failure model:
 from __future__ import annotations
 
 import asyncio
+import math
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -242,7 +243,9 @@ class ClusterPool:
         self.workers: Dict[str, WorkerHandle] = {}
         self._by_writer: Dict[int, str] = {}
         self._batches = BatchTable()
-        #: scenario name -> running mean of its specs' wall time
+        #: scenario name -> running mean of its specs' wall time, and
+        #: the estimate windows are sized with
+        self._mean: Dict[str, float] = {}
         self._cost: Dict[str, float] = {}
         self.closed = False
         self.loop: Optional[asyncio.AbstractEventLoop] = None
@@ -464,6 +467,7 @@ class ClusterPool:
         if not item.abandoned and not item.delivered:
             try:
                 result = ScenarioResult.from_dict(result_data)
+                elapsed_s = float(result.elapsed_s)
             except (KeyError, TypeError, ValueError):
                 # an undecodable result must not orphan the spec;
                 # requeue it WITHOUT re-granting this worker, or a
@@ -471,7 +475,7 @@ class ClusterPool:
                 # speed (heartbeats re-pump idle workers instead)
                 self._requeue_or_quarantine(item, front=False)
                 raise
-            self._learn(item.spec.name, result.elapsed_s)
+            self._learn(item.spec.name, elapsed_s)
             self._batches.deliver(item)
             worker.completed += 1
             self.total_completed += 1
@@ -503,15 +507,29 @@ class ClusterPool:
     # -- scheduling ----------------------------------------------------------
 
     def _estimate(self, spec: ScenarioSpec) -> float:
-        """Expected wall time of *spec*: its scenario's running mean, or
-        a full window for a scenario not seen yet."""
+        """Expected wall time of *spec*: its scenario's estimate, or a
+        full window for a scenario not seen yet."""
         return self._cost.get(spec.name, self.WINDOW_BUDGET_S)
 
     def _learn(self, name: str, elapsed_s: float) -> None:
-        mean = self._cost.get(name)
-        self._cost[name] = elapsed_s if mean is None else (
+        """Fold one wall time into *name*'s estimate.
+
+        The estimate assumes a scenario's cost can be told from its
+        name, and errs high where it cannot: it is the larger of the
+        running mean and the latest wall time, so a sweep whose cost
+        rises with a parameter is windowed at its newest cost, not at
+        a lagging mean, while one slow outlier only holds the window
+        back until the scenario's next result.  A wall time that is
+        negative or not finite teaches nothing.
+        """
+        if not 0.0 <= elapsed_s < math.inf:
+            return
+        mean = self._mean.get(name)
+        mean = elapsed_s if mean is None else (
             mean + self.COST_WEIGHT * (elapsed_s - mean)
         )
+        self._mean[name] = mean
+        self._cost[name] = max(mean, elapsed_s)
 
     @staticmethod
     def _unhold(worker: WorkerHandle, item: WorkItem) -> None:

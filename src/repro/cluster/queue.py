@@ -100,17 +100,15 @@ class WorkStealingQueue:
         return None
 
     def pop_own(self, worker_id: str,
-                admit: Optional[Callable[[Any], bool]] = None
-                ) -> Optional[Any]:
-        """The front of this worker's own deque, or ``None``.
+                admit: Callable[[Any], bool]) -> Optional[Any]:
+        """The front of this worker's own deque if ``admit(front)``
+        holds, else ``None`` (the front stays where it is).
 
         Never the backlog and never a steal: work the worker takes
         beyond its next item stays work that was routed to it anyway.
-        With *admit*, the front item is taken only if ``admit(item)``
-        holds; otherwise it stays where it is.
         """
         own = self._deques.get(worker_id)
-        if not own or (admit is not None and not admit(own[0])):
+        if not own or not admit(own[0]):
             return None
         return own.popleft()
 

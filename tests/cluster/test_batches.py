@@ -409,6 +409,91 @@ class TestLeaseWindows:
         run_pool(body, max_spec_retries=0)
 
 
+    def test_bad_wall_times_are_not_learned_and_every_spec_delivers(self):
+        async def body(pool, register, sink):
+            await _learn(pool, register, sink)
+            worker = await register("w")
+            specs = _specs(6)
+            await pool.submit_batch(specs, sink)
+            assert len(worker.leases) == 6
+
+            async def complete_head(elapsed_s):
+                lease_id, item = next(iter(worker.leases.items()))
+                data = _result(item.spec).to_dict()
+                data["elapsed_s"] = elapsed_s
+                await pool.complete(worker, lease_id, data)
+
+            # an unreadable wall time is a bad result: the spec is
+            # requeued, as for any undecodable result
+            for bad, error in ((None, TypeError), ("x", ValueError)):
+                try:
+                    await complete_head(bad)
+                except error:
+                    pass
+                else:
+                    raise AssertionError(f"{bad!r} was accepted")
+            assert pool.total_requeued == 2
+            # a readable but meaningless one is delivered, not learned
+            for bad in (float("nan"), float("inf"), -1.0):
+                await complete_head(bad)
+            assert pool._cost == {"_batch": CHEAP_S}
+            for _ in range(20):
+                if not worker.leases:
+                    break
+                pool.heartbeat(worker)
+                await pool._grant(worker)
+                await _complete_all(pool, worker)
+            assert sorted(r.spec_hash for _k, r in _drain(sink)) == sorted(
+                s.content_hash for s in specs)
+            assert len(pool._batches) == 0
+            assert worker.leases == {} and worker.held_s == 0.0
+
+        run_pool(body)
+
+    def test_rising_cost_sweep_fits_each_window_to_the_costs_seen(self):
+        """One scenario whose cost rises along the sweep, as a --sweep
+        over a size parameter gives: no window beyond the floor holds
+        more than the budget, charging each lease the largest wall
+        time reported before it was granted."""
+        async def body(pool, register, sink):
+            workers = [await register("first"), await register("second")]
+            specs = _specs(160)
+            cost = {s.content_hash: CHEAP_S * 1.04 ** n
+                    for n, s in enumerate(specs)}
+            order = {s.content_hash: n for n, s in enumerate(specs)}
+            await pool.submit_batch(specs, sink)
+            seen, charged, widest = 0.0, {}, 0
+
+            def check_windows():
+                nonlocal widest
+                for worker in workers:
+                    for lease_id in worker.leases:
+                        charged.setdefault(lease_id, seen)
+                    if len(worker.leases) > worker.capacity:
+                        widest = max(widest, len(worker.leases))
+                        assert sum(charged[lease_id]
+                                   for lease_id in worker.leases
+                                   ) <= pool.WINDOW_BUDGET_S * (1 + 1e-9)
+
+            check_windows()
+            while any(worker.leases for worker in workers):
+                # both workers progress at the same pace: the next
+                # result is always the lowest spec still running
+                worker, lease_id, item = min(
+                    ((w, *next(iter(w.leases.items())))
+                     for w in workers if w.leases),
+                    key=lambda t: order[t[2].spec.content_hash])
+                elapsed_s = cost[item.spec.content_hash]
+                seen = max(seen, elapsed_s)
+                await pool.complete(worker, lease_id,
+                                    _result(item.spec, elapsed_s).to_dict())
+                check_windows()
+            assert widest > 2            # windows did open on the way
+            assert len(pool._batches) == 0
+
+        run_pool(body)
+
+
 # -- generated pool operations ----------------------------------------------
 
 _NAMES = {"_p_cheap": CHEAP_S, "_p_mid": 0.002, "_p_heavy": 1.0}
@@ -422,6 +507,8 @@ _OPS = st.lists(
                   st.integers(0, 40)),
         st.tuples(st.just("release"), st.integers(0, 7),
                   st.integers(0, 40)),
+        st.tuples(st.just("garbage"), st.integers(0, 7),
+                  st.sampled_from([None, "x", float("nan"), -1.0])),
         st.tuples(st.just("lost"), st.integers(0, 7)),
         st.tuples(st.just("pump"), st.integers(0, 7)),
     ),
@@ -475,6 +562,15 @@ class TestWindowProperties:
                         await pool.complete(
                             worker, lease_id,
                             _result(spec, _NAMES[spec.name]).to_dict())
+                    elif kind == "garbage" and leases:
+                        lease_id = leases[0]
+                        data = _result(
+                            worker.leases[lease_id].spec).to_dict()
+                        data["elapsed_s"] = op[2]
+                        try:
+                            await pool.complete(worker, lease_id, data)
+                        except (TypeError, ValueError):
+                            pass      # requeued as a bad result
                     elif kind == "release":
                         pool.release(worker, leases[op[2] % 41:])
                     elif kind == "lost":
